@@ -8,9 +8,9 @@
 //!   grids) and vessel patches (equispaced grids), the unifying step of §4;
 //! - [`detect`]: space-time bounding boxes + a binned uniform grid over
 //!   triangle AABBs for output-sensitive vertex–triangle candidates, and
-//!   the per-object-pair interference measure `V` with gradients (see
-//!   DESIGN.md for the documented simplification of the space-time volume
-//!   of \[17\]/\[25\]; the exhaustive reference scan stays available behind
+//!   the per-object-pair interference measure `V` with gradients (the
+//!   module docs record the simplification of the space-time volume of
+//!   \[17\]/\[25\]; the exhaustive reference scan stays available behind
 //!   [`detect::BroadPhase::BruteForce`]);
 //! - [`lcp`]: minimum-map Newton over GMRES;
 //! - [`ncp`]: the outer re-linearization loop with the deterministic CSR

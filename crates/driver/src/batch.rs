@@ -388,13 +388,11 @@ fn run_job(job: &JobSpec, pin_serial: bool) -> JobOutcome {
         }
         let start = session.sim.steps;
         let opts = RunOptions {
-            scenario: job.scenario.clone(),
             steps: job.steps - start,
             checkpoint_every: job.checkpoint_every,
             keep_checkpoints: job.keep_checkpoints,
             out_dir: Some(job.out_dir.clone()),
             quiet: true,
-            fail_on_nonfinite: true,
         };
         session.run(&opts).map_err(|e| e.to_string())?;
         Ok(start)

@@ -18,9 +18,10 @@
 //! - [`physio`]: the physiology observer — [`PhysioSink`] streams
 //!   apparent viscosity, cell-free layer, and branch hematocrit split
 //!   (from [`sim::physio`]) as one CSV row per step;
-//! - [`mod@run`]: the pre-split record types ([`RunOptions`],
-//!   [`RunReport`], [`StepRow`]) and the [`run()`] entry point, now a thin
-//!   wrapper over [`session`].
+//! - [`mod@run`]: the run records ([`RunOptions`], [`RunReport`],
+//!   [`StepRow`]) and the column table behind `trajectory.csv`;
+//! - [`assertion`]: the `sim-driver --assert` expressions over those
+//!   columns (and the farm's scalars) that turn a run into a CI smoke.
 //!
 //! The `sim-driver` binary is the CLI front end:
 //!
@@ -34,6 +35,7 @@
 
 #![warn(missing_docs)]
 
+pub mod assertion;
 pub mod batch;
 pub mod physio;
 pub mod run;
@@ -41,11 +43,10 @@ pub mod scenario;
 pub mod session;
 pub mod toml;
 
+pub use assertion::Assertion;
 pub use batch::{run_farm, FarmOptions, FarmReport, JobOutcome, JobSpec, JobStatus, Manifest};
 pub use physio::{PhysioRow, PhysioSink, PHYSIO_CSV_HEADER};
-pub use run::{final_checkpoint_path, run, RunOptions, RunReport, StepRow};
+pub use run::{final_checkpoint_path, RunOptions, RunReport, StepRow};
 pub use scenario::{build, registry, Built, ScenarioSpec};
-pub use session::{
-    drive, run_with, CacheTelemetry, CheckpointSink, ConsoleSink, CsvSink, Session, StepSink,
-};
+pub use session::{CacheTelemetry, CheckpointSink, ConsoleSink, CsvSink, Session, StepSink};
 pub use toml::{Doc, Value};

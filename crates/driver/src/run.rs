@@ -1,16 +1,14 @@
-//! Run-loop records and the pre-split entry point: [`StepRow`],
-//! [`RunReport`], [`RunOptions`], and [`run`] — now a thin composition
-//! over the [`crate::session`] step loop and IO sinks.
+//! Run-loop records: [`StepRow`], [`RunReport`], [`RunOptions`], and the
+//! `COLUMNS` table that names, reads and formats every `trajectory.csv`
+//! column — the same names `sim-driver --assert` aggregates over.
 
-use sim::{Simulation, StepStats, StepTimers};
-use std::io;
+use sim::{StepStats, StepTimers};
 use std::path::{Path, PathBuf};
+use Format::{Fixed, Int, Sci};
 
-/// Controls for [`run`].
+/// Controls for [`Session::run`](crate::Session::run).
 #[derive(Clone, Debug)]
 pub struct RunOptions {
-    /// Scenario name stored in checkpoints (so a restart can rebuild it).
-    pub scenario: String,
     /// Number of steps to take (on restart: *additional* steps).
     pub steps: usize,
     /// Write a checkpoint every `k` steps (0 = only the final one).
@@ -25,23 +23,16 @@ pub struct RunOptions {
     pub out_dir: Option<PathBuf>,
     /// Suppress the per-step progress lines.
     pub quiet: bool,
-    /// Abort the run (with an error naming the step, cell, and coefficient)
-    /// the moment any cell's shape coefficients go non-finite. On by
-    /// default: a NaN that survives the adaptive stepper's own gates means
-    /// the simulation state is garbage and every later step wastes time.
-    pub fail_on_nonfinite: bool,
 }
 
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
-            scenario: String::new(),
             steps: 10,
             checkpoint_every: 0,
             keep_checkpoints: 0,
             out_dir: None,
             quiet: false,
-            fail_on_nonfinite: true,
         }
     }
 }
@@ -93,47 +84,77 @@ impl RunReport {
         ));
         out
     }
-
-    /// Renders the per-step rows as CSV (matching the columns the example
-    /// binaries used to hand-roll).
-    pub fn to_csv(&self) -> String {
-        let mut csv = String::from(CSV_HEADER);
-        for r in &self.rows {
-            csv.push_str(&r.csv_line());
-        }
-        csv
-    }
 }
 
-/// Column header of the per-step CSV.
-pub(crate) const CSV_HEADER: &str =
-    "step,col_s,bie_solve_s,bie_fmm_s,other_fmm_s,other_s,total_s,gmres_iters,contacts,ncp_iters,recycled,dt_effective,dt_retries,max_edge_stretch,frozen_cells,wall_fmm_builds,wall_fmm_replans,flux_imbalance\n";
+/// How a [`Column`] prints its value in `trajectory.csv`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Format {
+    /// An integer count (`{}`).
+    Int,
+    /// Fixed-point with this many decimals (`{:.N}`).
+    Fixed(usize),
+    /// Scientific with this many mantissa decimals (`{:.Ne}`).
+    Sci(usize),
+}
+
+/// One `trajectory.csv` column: its header name, its CSV format, and how
+/// to read its value from a [`StepRow`].
+pub(crate) struct Column {
+    /// Header name (also the metric name `sim-driver --assert` takes).
+    pub(crate) name: &'static str,
+    /// How the value is printed.
+    pub(crate) format: Format,
+    /// The row's value; integer columns are exact in `f64`.
+    pub(crate) get: fn(&StepRow) -> f64,
+}
+
+const fn col(name: &'static str, format: Format, get: fn(&StepRow) -> f64) -> Column {
+    Column { name, format, get }
+}
+
+/// The per-step CSV columns, in file order.
+pub(crate) const COLUMNS: &[Column] = &[
+    col("step", Int, |r| r.step as f64),
+    col("col_s", Fixed(6), |r| r.timers.col),
+    col("bie_solve_s", Fixed(6), |r| r.timers.bie_solve),
+    col("bie_fmm_s", Fixed(6), |r| r.timers.bie_fmm),
+    col("other_fmm_s", Fixed(6), |r| r.timers.other_fmm),
+    col("other_s", Fixed(6), |r| r.timers.other),
+    col("total_s", Fixed(6), |r| r.timers.total()),
+    col("gmres_iters", Int, |r| r.stats.bie_iterations as f64),
+    col("contacts", Int, |r| r.stats.contacts as f64),
+    col("ncp_iters", Int, |r| r.stats.ncp_iters as f64),
+    col("recycled", Int, |r| r.recycled as f64),
+    col("dt_effective", Fixed(8), |r| r.stats.dt_effective),
+    col("dt_retries", Int, |r| r.stats.dt_retries as f64),
+    col("max_edge_stretch", Fixed(4), |r| r.stats.max_edge_stretch),
+    col("frozen_cells", Int, |r| r.stats.frozen_cells as f64),
+    col("wall_fmm_builds", Int, |r| r.stats.wall_fmm_builds as f64),
+    col("wall_fmm_replans", Int, |r| r.stats.wall_fmm_replans as f64),
+    col("flux_imbalance", Sci(3), |r| r.stats.flux_imbalance),
+];
+
+/// The per-step CSV header line (newline-terminated).
+pub(crate) fn csv_header() -> String {
+    let names: Vec<&str> = COLUMNS.iter().map(|c| c.name).collect();
+    names.join(",") + "\n"
+}
 
 impl StepRow {
     /// One CSV line (newline-terminated) for this row.
     pub(crate) fn csv_line(&self) -> String {
-        let t = self.timers;
-        format!(
-            "{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{},{},{},{},{:.8},{},{:.4},{},{},{},{:.3e}\n",
-            self.step,
-            t.col,
-            t.bie_solve,
-            t.bie_fmm,
-            t.other_fmm,
-            t.other,
-            t.total(),
-            self.stats.bie_iterations,
-            self.stats.contacts,
-            self.stats.ncp_iters,
-            self.recycled,
-            self.stats.dt_effective,
-            self.stats.dt_retries,
-            self.stats.max_edge_stretch,
-            self.stats.frozen_cells,
-            self.stats.wall_fmm_builds,
-            self.stats.wall_fmm_replans,
-            self.stats.flux_imbalance,
-        )
+        let cells: Vec<String> = COLUMNS
+            .iter()
+            .map(|c| {
+                let v = (c.get)(self);
+                match c.format {
+                    Int => format!("{}", v as u64),
+                    Fixed(p) => format!("{v:.p$}"),
+                    Sci(p) => format!("{v:.p$e}"),
+                }
+            })
+            .collect();
+        cells.join(",") + "\n"
     }
 }
 
@@ -147,20 +168,17 @@ pub fn final_checkpoint_path(dir: &Path, scenario: &str) -> PathBuf {
     dir.join(format!("{scenario}_final.ckpt"))
 }
 
-/// Steps `sim` for `opts.steps` steps, recycling outlet cells when
-/// `recycle` is set, checkpointing on the configured cadence, and writing
-/// `trajectory.csv` plus a final checkpoint into `opts.out_dir`.
-///
-/// This is the pre-split entry point, kept (bit-identical in console, CSV,
-/// and checkpoint output) as a delegating wrapper over the composable
-/// pieces in [`crate::session`].
-pub fn run(sim: &mut Simulation, recycle: bool, opts: &RunOptions) -> io::Result<RunReport> {
-    crate::session::run_with(sim, recycle, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn csv_header_is_pinned() {
+        assert_eq!(
+            csv_header(),
+            "step,col_s,bie_solve_s,bie_fmm_s,other_fmm_s,other_s,total_s,gmres_iters,contacts,ncp_iters,recycled,dt_effective,dt_retries,max_edge_stretch,frozen_cells,wall_fmm_builds,wall_fmm_replans,flux_imbalance\n"
+        );
+    }
 
     #[test]
     fn stage_table_and_csv_render() {
@@ -190,25 +208,11 @@ mod tests {
         });
         let table = report.stage_table();
         assert!(table.contains("COL") && table.contains("0.500"), "{table}");
-        let csv = report.to_csv();
-        assert!(csv.lines().count() == 2);
-        assert!(csv.contains(",12,3,"), "{csv}");
-        // the adaptive-dt diagnostics are first-class columns
-        let header = csv.lines().next().unwrap();
-        for col in [
-            "dt_effective",
-            "dt_retries",
-            "max_edge_stretch",
-            "frozen_cells",
-            "wall_fmm_builds",
-            "wall_fmm_replans",
-            "flux_imbalance",
-        ] {
-            assert!(header.contains(col), "missing column {col}: {header}");
-        }
-        assert!(
-            csv.contains(",0.00500000,2,1.2500,1,1,4,2.500e-13"),
-            "{csv}"
+        // every column's precision, byte for byte
+        assert_eq!(
+            report.rows[0].csv_line(),
+            "1,0.500000,0.250000,0.000000,0.000000,0.000000,0.750000,12,3,0,1,\
+                   0.00500000,2,1.2500,1,1,4,2.500e-13\n"
         );
     }
 }

@@ -1,11 +1,5 @@
 //! The composable run layer: scenario build / step loop / IO split.
 //!
-//! [`run::run`](crate::run::run) used to be a monolith coupling stepping,
-//! timing, CSV writing, and checkpointing; every caller (CLI, examples,
-//! `step_bench`, CI smokes) either went through the whole thing or
-//! hand-rolled its own loop. This module splits it into pieces that
-//! compose:
-//!
 //! - **build**: [`Session::build`] goes registry → ready-to-step
 //!   [`Simulation`] (through the process-wide shared immutable caches —
 //!   FMM operator tables in [`fmm::ops`], refined wall surfaces in
@@ -13,20 +7,17 @@
 //!   the non-finite guard) with the state it applies to;
 //! - **step loop**: [`Session::step`] is the resumable stepper — one call,
 //!   one committed step, one [`StepRow`] of per-stage timers and
-//!   [`sim::StepStats`]; [`drive`] folds it over N steps;
+//!   [`sim::StepStats`]; [`Session::drive`] folds it over N steps;
 //! - **IO sinks**: [`StepSink`] observers ([`ConsoleSink`], [`CsvSink`],
 //!   [`CheckpointSink`]) receive each row as it happens, so output
 //!   streams and checkpoints survive a kill at any step. They are
 //!   pluggable: the batch farm, the CLI, and the examples wire different
-//!   sink sets over the same loop.
-//!
-//! The pre-split `run(sim, recycle, opts)` entry point still exists and is
-//! now a thin composition over these pieces ([`run_with`]); its console
-//! lines, `trajectory.csv` bytes, and checkpoint files are pinned
-//! bit-identical to the monolith by `driver/tests/`.
+//!   sink sets over the same loop, and [`Session::run`] is the full
+//!   console + CSV + checkpoint composition the CLI and the farm share.
 
-use crate::run::{checkpoint_path, final_checkpoint_path, RunOptions, RunReport, StepRow};
-use crate::scenario::Built;
+use crate::run::{
+    checkpoint_path, csv_header, final_checkpoint_path, RunOptions, RunReport, StepRow,
+};
 use crate::toml::Doc;
 use sim::{Checkpoint, Simulation};
 use std::io;
@@ -34,7 +25,7 @@ use std::path::{Path, PathBuf};
 
 /// A per-step observer plugged into the step loop.
 ///
-/// Sinks are called in the order they are passed to [`drive`]; any error
+/// Sinks are called in the order they are passed to [`Session::drive`]; any error
 /// aborts the run (the step itself is already committed — sinks observe,
 /// they do not vote).
 pub trait StepSink {
@@ -109,7 +100,7 @@ impl CsvSink {
     /// Creates (truncating) `path` and writes the column header.
     pub fn create(path: &Path) -> io::Result<CsvSink> {
         let mut file = std::fs::File::create(path)?;
-        io::Write::write_all(&mut file, crate::run::CSV_HEADER.as_bytes())?;
+        io::Write::write_all(&mut file, csv_header().as_bytes())?;
         Ok(CsvSink { file })
     }
 
@@ -228,75 +219,6 @@ fn step_once(sim: &mut Simulation, recycle: bool, fail_on_nonfinite: bool) -> io
     })
 }
 
-/// Folds the step loop over `steps` steps, feeding every row to each sink
-/// in order. Returns the aggregate report; `report.checkpoints` stays
-/// empty — checkpoint paths live in the [`CheckpointSink`] that wrote them
-/// (see [`run_with`] for the composition the CLI uses).
-pub fn drive(
-    sim: &mut Simulation,
-    recycle: bool,
-    steps: usize,
-    fail_on_nonfinite: bool,
-    sinks: &mut [&mut dyn StepSink],
-) -> io::Result<RunReport> {
-    for sink in sinks.iter_mut() {
-        sink.on_start(sim)?;
-    }
-    let mut report = RunReport::default();
-    for _ in 0..steps {
-        let row = step_once(sim, recycle, fail_on_nonfinite)?;
-        report.timers.accumulate(&row.timers);
-        for sink in sinks.iter_mut() {
-            sink.on_step(sim, &row)?;
-        }
-        report.rows.push(row);
-    }
-    for sink in sinks.iter_mut() {
-        sink.on_finish(sim)?;
-    }
-    Ok(report)
-}
-
-/// The full single-run composition the CLI (and the farm's per-job runner)
-/// uses: console + streaming CSV + cadence/final checkpoints over
-/// [`drive`]. Behavior (console lines, CSV bytes, checkpoint files) is
-/// pinned bit-identical to the pre-split `run` monolith.
-pub fn run_with(sim: &mut Simulation, recycle: bool, opts: &RunOptions) -> io::Result<RunReport> {
-    if let Some(dir) = &opts.out_dir {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut console = (!opts.quiet).then(|| ConsoleSink::new(opts.scenario.clone(), opts.steps));
-    let mut csv = match &opts.out_dir {
-        Some(dir) => Some(CsvSink::create(
-            &dir.join(CsvSink::trajectory_name(sim.steps)),
-        )?),
-        None => None,
-    };
-    let mut ckpt = opts.out_dir.as_ref().map(|dir| {
-        CheckpointSink::new(
-            dir,
-            opts.scenario.clone(),
-            opts.checkpoint_every,
-            opts.keep_checkpoints,
-        )
-    });
-    let mut sinks: Vec<&mut dyn StepSink> = Vec::with_capacity(3);
-    if let Some(s) = console.as_mut() {
-        sinks.push(s);
-    }
-    if let Some(s) = csv.as_mut() {
-        sinks.push(s);
-    }
-    if let Some(s) = ckpt.as_mut() {
-        sinks.push(s);
-    }
-    let mut report = drive(sim, recycle, opts.steps, opts.fail_on_nonfinite, &mut sinks)?;
-    if let Some(c) = ckpt {
-        report.checkpoints = c.written;
-    }
-    Ok(report)
-}
-
 /// An owned scenario run: the simulation plus the per-step policy and the
 /// name that ties its checkpoints back to the registry.
 ///
@@ -311,7 +233,11 @@ pub struct Session {
     pub sim: Simulation,
     /// Recycle outlet cells into the inlet after each step.
     pub recycle: bool,
-    /// Abort on non-finite cell coefficients (see [`RunOptions`]).
+    /// Abort the run (with an error naming the step, cell, and
+    /// coefficient) the moment any cell's shape coefficients go
+    /// non-finite. On by default: a NaN that survives the adaptive
+    /// stepper's own gates means the simulation state is garbage and
+    /// every later step wastes time.
     pub fail_on_nonfinite: bool,
 }
 
@@ -319,17 +245,13 @@ impl Session {
     /// Builds registry scenario `name` from `cfg` (through the shared
     /// immutable caches) into a ready-to-step session.
     pub fn build(name: &str, cfg: &Doc) -> Result<Session, String> {
-        Ok(Session::from_built(name, crate::build(name, cfg)?))
-    }
-
-    /// Wraps an already-built scenario.
-    pub fn from_built(name: &str, built: Built) -> Session {
-        Session {
+        let built = crate::build(name, cfg)?;
+        Ok(Session {
             scenario: name.to_string(),
             sim: built.sim,
             recycle: built.recycle,
             fail_on_nonfinite: true,
-        }
+        })
     }
 
     /// Restores a checkpoint into this session, rejecting checkpoints
@@ -351,31 +273,90 @@ impl Session {
         step_once(&mut self.sim, self.recycle, self.fail_on_nonfinite)
     }
 
-    /// Runs `steps` steps through the given sinks (see [`drive`]).
+    /// Runs `steps` steps, feeding every row to each sink in order.
+    /// Returns the aggregate report; `report.checkpoints` stays empty —
+    /// checkpoint paths live in the [`CheckpointSink`] that wrote them.
     pub fn drive(
         &mut self,
         steps: usize,
         sinks: &mut [&mut dyn StepSink],
     ) -> io::Result<RunReport> {
-        drive(
-            &mut self.sim,
-            self.recycle,
-            steps,
-            self.fail_on_nonfinite,
-            sinks,
-        )
+        for sink in sinks.iter_mut() {
+            sink.on_start(&self.sim)?;
+        }
+        let mut report = RunReport::default();
+        for _ in 0..steps {
+            let row = self.step()?;
+            report.timers.accumulate(&row.timers);
+            for sink in sinks.iter_mut() {
+                sink.on_step(&self.sim, &row)?;
+            }
+            report.rows.push(row);
+        }
+        for sink in sinks.iter_mut() {
+            sink.on_finish(&self.sim)?;
+        }
+        Ok(report)
     }
 
-    /// Runs with the full console/CSV/checkpoint sink set (see
-    /// [`run_with`]). `opts.scenario` is ignored in favor of the
-    /// session's own name.
+    /// Runs with the full sink set: a console table unless `opts.quiet`,
+    /// and with `opts.out_dir` a streaming `trajectory.csv` plus cadence
+    /// and final checkpoints (listed in the report's `checkpoints`).
     pub fn run(&mut self, opts: &RunOptions) -> io::Result<RunReport> {
-        let opts = RunOptions {
-            scenario: self.scenario.clone(),
-            fail_on_nonfinite: self.fail_on_nonfinite,
-            ..opts.clone()
+        if let Some(dir) = &opts.out_dir {
+            std::fs::create_dir_all(dir)?;
+        }
+        let mut console = (!opts.quiet).then(|| ConsoleSink::new(&self.scenario, opts.steps));
+        let mut csv = match &opts.out_dir {
+            Some(dir) => Some(CsvSink::create(
+                &dir.join(CsvSink::trajectory_name(self.sim.steps)),
+            )?),
+            None => None,
         };
-        run_with(&mut self.sim, self.recycle, &opts)
+        let mut ckpt = opts.out_dir.as_ref().map(|dir| {
+            CheckpointSink::new(
+                dir,
+                &self.scenario,
+                opts.checkpoint_every,
+                opts.keep_checkpoints,
+            )
+        });
+        let mut sinks: Vec<&mut dyn StepSink> = Vec::with_capacity(3);
+        if let Some(s) = console.as_mut() {
+            sinks.push(s);
+        }
+        if let Some(s) = csv.as_mut() {
+            sinks.push(s);
+        }
+        if let Some(s) = ckpt.as_mut() {
+            sinks.push(s);
+        }
+        let mut report = self.drive(opts.steps, &mut sinks)?;
+        if let Some(c) = ckpt {
+            report.checkpoints = c.written;
+        }
+        Ok(report)
+    }
+
+    /// Checks that every cell's coefficients, centroid and volume are
+    /// finite; the error names the first offender.
+    pub fn check_finite(&self) -> Result<(), String> {
+        if let Some((ci, comp, k)) = first_nonfinite(&self.sim) {
+            return Err(format!(
+                "cell {ci} component {} coefficient {k} is not finite",
+                ["x", "y", "z"][comp]
+            ));
+        }
+        for (ci, cell) in self.sim.cells.iter().enumerate() {
+            let g = cell.geometry(&self.sim.basis);
+            let (c, vol) = (g.centroid(), g.volume());
+            if !c.is_finite() || !vol.is_finite() {
+                return Err(format!(
+                    "cell {ci} ended non-finite (centroid {c:?}, volume {vol})"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 

@@ -1,8 +1,8 @@
 //! # fmm — kernel-independent fast multipole method
 //!
-//! The PVFMM substitute (DESIGN.md substitution table): a shared-memory,
-//! rayon-parallel, kernel-independent FMM in the style of Ying, Biros &
-//! Zorin / Malhotra & Biros, used for every global far-field summation in
+//! The PVFMM substitute: a shared-memory, rayon-parallel,
+//! kernel-independent FMM in the style of Ying, Biros & Zorin /
+//! Malhotra & Biros, used for every global far-field summation in
 //! the platform — the free-space velocity `u_fr` (Eq. 2.4), the
 //! double-layer matvec inside each GMRES iteration of the boundary solve
 //! (Eq. 3.5), and the evaluation of `u_Γ` at check points and RBC points.

@@ -6,7 +6,7 @@
 //! points, sort everything by key, and pair up entries that land in the same
 //! cell.
 //!
-//! Two deliberate deviations from the paper, both documented in DESIGN.md:
+//! Two deliberate deviations from the paper:
 //! the parallel distributed HykSort is replaced by `rayon`'s parallel sort,
 //! and instead of *sampling* each box with equispaced samples we enumerate
 //! exactly the grid cells the box overlaps (same effect as sampling at grid

@@ -190,8 +190,9 @@ pub struct StepStats {
     /// Net flux of the vessel boundary condition through the surface
     /// ([`Vessel::port_flux_imbalance`]) at the step's boundary solve —
     /// machine-epsilon-sized for a well-posed port manifest, 0 for
-    /// free-space steps. Asserted per step by
-    /// `sim-driver --assert-flux-balance`.
+    /// free-space steps. The `flux_imbalance` column of the driver's
+    /// `trajectory.csv`, asserted over a run by
+    /// `sim-driver --assert 'max(flux_imbalance)<=TOL'`.
     pub flux_imbalance: f64,
 }
 

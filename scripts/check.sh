@@ -39,7 +39,7 @@ cargo build --release --workspace
 echo "== cargo doc (warning-free gate, library crates)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
     -p linalg -p kernels -p octree -p sphharm -p patch -p collision \
-    -p fmm -p vesicle -p bie -p forest -p sim -p bench -p driver
+    -p fmm -p vesicle -p bie -p sim -p bench -p driver
 
 if [ "${CHECK_FAST:-0}" != "1" ]; then
     echo "== cargo test -q"
@@ -75,23 +75,40 @@ echo "== collision smoke (sedimentation-like, 1 step, contact + finite-volume as
 cargo run --release -q -p driver -- sedimentation --steps 1 \
     --set tube_segments=1 --set patch_order=6 --set order=6 \
     --set fill_h=1.1 --set col_m=6 --set dt_adaptive=false \
-    --no-output --quiet --assert-contacts 10
+    --no-output --quiet --assert 'sum(contacts)>=10'
+
+echo "== assert negative smoke (shear_pair, 1 step, an assertion that must fail)"
+# proves the --assert mechanism can fire: two free cells make no contacts,
+# so the run must exit nonzero and name the failed assertion on stderr
+NEG_ERR=$(mktemp)
+if cargo run --release -q -p driver -- shear_pair --steps 1 --set order=6 \
+    --no-output --quiet --assert 'sum(contacts)>=1000000' 2>"$NEG_ERR"; then
+    echo "ERROR: an assertion that cannot hold passed"; rm -f "$NEG_ERR"; exit 1
+fi
+if ! grep -qF 'sum(contacts)>=1000000' "$NEG_ERR"; then
+    echo "ERROR: the failing run did not name its assertion:"; cat "$NEG_ERR"
+    rm -f "$NEG_ERR"; exit 1
+fi
+rm -f "$NEG_ERR"
 
 echo "== instability smoke (shear_pair, 1 oversized-dt step, retry + finite-state assert)"
 # one deliberately oversized step (10x the scenario dt) with a volume-drift
 # gate tight enough that the first attempt must fail: asserts the adaptive
 # stepper actually rolled back and retried (dt_retries >= 1), every
-# committed step's max edge stretch stayed finite and within the bound,
-# and the final coefficients are finite — i.e. the transactional
-# retry/backoff path works, not just the happy path
+# committed step's max edge stretch stayed finite and within the health
+# bound (dt_max_stretch, set explicitly to its default so the assert and
+# the run share one number), and the final coefficients are finite —
+# i.e. the transactional retry/backoff path works, not just the happy path
 cargo run --release -q -p driver -- shear_pair --steps 1 \
     --set order=6 --set dt=0.2 --set dt_max_vol_drift=1e-4 \
-    --no-output --quiet --assert-dt-retries 1
+    --set dt_max_stretch=10 \
+    --no-output --quiet --assert 'sum(dt_retries)>=1' \
+    --assert 'max(max_edge_stretch)<=10'
 
 echo "== refined-vessel smoke (vessel_flow, 2 steps, wall_refine default + FMM backend)"
 # two confined-flow steps on a refined wall (the vessel_flow registry
 # default) through the FMM matvec backend: asserts the boundary solve
-# stays below its iteration cap, every cell ends finite, AND the
+# stays below its iteration cap (< 30), every cell ends finite, AND the
 # persistent wall FMM is actually reused — at most one frozen-tree build
 # across both steps with >= 1 target replan per step, so a regression
 # that silently falls back to per-step rebuilds fails the gate in
@@ -108,8 +125,8 @@ echo "== refined-vessel smoke (vessel_flow, 2 steps, wall_refine default + FMM b
 cargo run --release -q -p driver -- vessel_flow --steps 2 \
     --set tube_segments=1 --set patch_order=6 --set order=6 \
     --set bie_backend=fmm --set bie_qf=6 \
-    --set fill_h=1.5 --no-output --quiet --assert-bie-below 30 \
-    --assert-fmm-rebuilds 1
+    --set fill_h=1.5 --no-output --quiet --assert 'max(gmres_iters)<=29' \
+    --assert 'sum(wall_fmm_builds)<=1' --assert 'min(wall_fmm_replans)>=1'
 
 echo "== network smoke (bifurcation, 1 step, flux-balanced 3-port BCs + FMM backend)"
 # one step of the Y-bifurcation (the branched-network scenario family)
@@ -118,11 +135,13 @@ echo "== network smoke (bifurcation, 1 step, flux-balanced 3-port BCs + FMM back
 # tolerance (the discrete quadrature balances them to roundoff — see
 # driver/tests/network.rs for the roundoff-tight pin) and that every
 # cell ends finite, so a regression in the N-port BC assembly or the
-# junction blend fails here in seconds
+# junction blend fails here in seconds (the wall-FMM replan assert proves
+# a boundary solve actually ran, so the flux assert is not vacuous)
 cargo run --release -q -p driver -- bifurcation --steps 1 \
     --set patch_order=6 --set order=6 \
     --set bie_backend=fmm --set bie_qf=6 \
-    --no-output --quiet --assert-flux-balance 1e-6
+    --no-output --quiet --assert 'max(flux_imbalance)<=1e-6' \
+    --assert 'min(wall_fmm_replans)>=1'
 
 echo "== driver smoke run (shear_pair, 2 steps at --threads 2 + checkpoint restart)"
 # the first leg runs the real-parallel step path (--threads 2) so the CI
@@ -152,6 +171,6 @@ rm -rf "$FARM_OUT"
 cargo run --release -q -p driver -- batch scenarios/farm_smoke.toml \
     --halt-after 1 --quiet
 cargo run --release -q -p driver -- batch scenarios/farm_smoke.toml \
-    --assert-cache-hits 1
+    --assert 'cache_hits>=1'
 
 echo "ALL CHECKS PASSED"
