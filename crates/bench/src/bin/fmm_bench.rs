@@ -10,7 +10,8 @@
 //! (`Fmm::frozen` + `evaluate_at`): stresslet sources on a tube surface,
 //! moving targets in the lumen — one frozen-tree build, then a target-only
 //! replan + evaluate per call, against the fresh build-per-call cost it
-//! replaced, with a `leaf_capacity` sweep at the production order 4.
+//! replaced, with a `leaf_capacity` sweep of ½×, 1× and 2× the fitted
+//! default (`FmmOptions::for_order`) at orders 4 and 6.
 //!
 //! Usage: `cargo run --release -p bench --bin fmm_bench [--quick]`
 //! (`--quick` runs one evaluate repetition instead of three, skips
@@ -169,9 +170,8 @@ fn run_replan_case(
         .map(|_| rng.random_range(-1.0..1.0))
         .collect();
     let opts = FmmOptions {
-        order,
         leaf_capacity,
-        max_depth: 14,
+        ..FmmOptions::for_order(order)
     };
     let _ = fmm::cached_operators(&ek, order);
 
@@ -253,17 +253,20 @@ fn main() {
     }
 
     // persistent-plan section: one frozen build, target-only replans, at
-    // the production wall configuration (stresslet kernel, order 4).
-    // The full run sweeps leaf_capacity around the library default to
-    // keep the chosen default honest against the replan workload.
+    // the wall configuration (stresslet kernel). The full run sweeps
+    // leaf_capacity at ½×, 1× and 2× the order's fitted default to keep
+    // the rule honest against the replan workload.
     let mut replans = Vec::new();
     if quick {
-        replans.push(run_replan_case(8000, 1500, 4, 120, 1));
+        let leaf = FmmOptions::for_order(4).leaf_capacity;
+        replans.push(run_replan_case(8000, 1500, 4, leaf, 1));
     } else {
-        for leaf in [60, 120, 240] {
-            replans.push(run_replan_case(20000, 3000, 4, leaf, reps));
+        for order in [4, 6] {
+            let leaf = FmmOptions::for_order(order).leaf_capacity;
+            for l in [leaf / 2, leaf, 2 * leaf] {
+                replans.push(run_replan_case(20000, 3000, order, l, reps));
+            }
         }
-        replans.push(run_replan_case(20000, 3000, 6, 120, reps));
     }
 
     // hand-rolled JSON (no serde in the environment)

@@ -155,10 +155,7 @@ fn refined_tube_stokes_error_below_threshold_with_fmm() {
             // pins the end-to-end refined accuracy at the *production*
             // order, so lowering the default below the quadrature floor
             // would fail here, not in a scenario run
-            fmm: fmm::FmmOptions {
-                order: 4,
-                ..Default::default()
-            },
+            fmm: fmm::FmmOptions::for_order(4),
             // the scenario-default refined fine order q + 4
             ..tube_opts(refine, q + 4, MatvecBackend::Fmm)
         },
@@ -206,8 +203,10 @@ fn dense_and_fmm_backends_apply_the_same_operator() {
     // tolerance tied to the FMM truncation order. The check targets sit
     // right against the source surface (R = 0.15 L̂), so the agreement is
     // set by the near-field translation accuracy, not the far-field
-    // "5–6 digits at order 6" figure: measured 1.6e-2 at order 4, 4.1e-4
-    // at order 6, and 2.0e-5 at order 8 on this geometry. Assert each
+    // "5–6 digits at order 6" figure: measured 8.5e-3 at order 4, 2.2e-4
+    // at order 6, and 1.2e-5 at order 8 on this geometry, at each order's
+    // fitted leaf capacity (`FmmOptions::for_order`; 1.6e-2 / 4.1e-4 /
+    // 2.0e-5 at the former fixed capacity of 160). Assert each
     // order's bound and that the distance tightens with order; order 4
     // heads the ladder because it is the refined-path matvec default
     // (driver `bie_fmm_order`) — a ~2-digit operator perturbation that
@@ -221,10 +220,7 @@ fn dense_and_fmm_backends_apply_the_same_operator() {
             StokesDL,
             StokesEquiv { mu: 1.0 },
             BieOptions {
-                fmm: fmm::FmmOptions {
-                    order,
-                    ..Default::default()
-                },
+                fmm: fmm::FmmOptions::for_order(order),
                 ..tube_opts(refine, q + 4, MatvecBackend::Fmm)
             },
         );

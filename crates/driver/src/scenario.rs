@@ -223,6 +223,13 @@ fn wall_col_m(col_m: usize, levels: u32) -> usize {
 /// record lives on `sim::domain`'s
 /// `refined_serpentine_port_floor_improved` test; preconditioning is
 /// the open item).
+///
+/// The matvec/eval FMM runs at `bie_fmm_order` (4 refined, 6 coarse)
+/// with the leaf capacity fitted to that order,
+/// [`bie::FmmOptions::for_order`] (10 × the equivalent-surface point
+/// count: 560 at order 4); `bie_fmm_leaf_capacity` overrides it. The
+/// capacity is part of the vessel digest, so a checkpoint written under
+/// another capacity refuses to restore.
 fn bie_options(cfg: &Doc, sec: &str, q: usize, refine: u32) -> Result<bie::BieOptions, String> {
     // the PR 3-era boolean knob was replaced by `bie_backend`; the TOML
     // layer ignores unknown keys, so reject it explicitly rather than
@@ -242,16 +249,21 @@ fn bie_options(cfg: &Doc, sec: &str, q: usize, refine: u32) -> Result<bie::BieOp
     // crates/bie/tests/tube.rs), while the smaller equivalent surfaces
     // roughly halve the M2L work per solve. Unrefined solves keep the
     // library default (order 6), whose extra digits are free at those
-    // patch counts because they run dense anyway.
-    let fmm_default = bie::FmmOptions::default();
+    // patch counts because they run dense anyway. The leaf capacity
+    // follows the order unless set explicitly.
+    let order = cfg.usize_or(
+        sec,
+        "bie_fmm_order",
+        if refined {
+            4
+        } else {
+            bie::FmmOptions::default().order
+        },
+    );
+    let fmm_default = bie::FmmOptions::for_order(order);
     let fmm = bie::FmmOptions {
-        order: cfg.usize_or(
-            sec,
-            "bie_fmm_order",
-            if refined { 4 } else { fmm_default.order },
-        ),
         leaf_capacity: cfg.usize_or(sec, "bie_fmm_leaf_capacity", fmm_default.leaf_capacity),
-        max_depth: fmm_default.max_depth,
+        ..fmm_default
     };
     let backend = match cfg.str_or(sec, "bie_backend", "auto") {
         "auto" => bie::MatvecBackend::Auto,

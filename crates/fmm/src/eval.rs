@@ -19,7 +19,7 @@
 //! before/after numbers.
 
 use crate::ops::{cached_operators, m2l_class, FmmOperators};
-use crate::surface::{cube_surface, RAD_INNER, RAD_OUTER};
+use crate::surface::{cube_surface, surface_point_count, RAD_INNER, RAD_OUTER};
 use kernels::Kernel;
 use linalg::{gemm_acc, Vec3};
 use octree::{MortonKey, Octree, TreeOptions, MAX_DEPTH, NONE};
@@ -40,14 +40,52 @@ pub struct FmmOptions {
     pub max_depth: u32,
 }
 
-impl Default for FmmOptions {
-    fn default() -> Self {
+/// Leaf capacity per equivalent-surface point of [`FmmOptions::for_order`].
+///
+/// A leaf's near field (P2P) costs O(capacity²) pair evaluations and its
+/// far field O(n_surf²) per M2L pair, so the balance point scales with
+/// `n_surf`. Fitted on the refined vessel (`crates/fmm/README.md`, "Leaf
+/// capacity"): at orders 4 and 6 the step time is flat within noise from
+/// 8 to 20 × n_surf and rises outside it; 10 sits on both plateaus.
+pub const LEAF_PER_SURF_POINT: usize = 10;
+
+impl FmmOptions {
+    /// The options for equivalent-surface order `order`, with the leaf
+    /// capacity fitted to that order's operator cost
+    /// ([`LEAF_PER_SURF_POINT`] × `n_surf(order)`): 560 at order 4, 1520
+    /// at order 6. Set `order` through this, not by overriding the field
+    /// of [`FmmOptions::default`], or the leaf size of order 6 comes along.
+    pub fn for_order(order: usize) -> Self {
         FmmOptions {
-            order: 6,
-            leaf_capacity: 160,
+            order,
+            leaf_capacity: LEAF_PER_SURF_POINT * surface_point_count(order),
             max_depth: 14,
         }
     }
+}
+
+impl Default for FmmOptions {
+    fn default() -> Self {
+        FmmOptions::for_order(6)
+    }
+}
+
+/// Work counts of an evaluation plan ([`Fmm::plan_stats`]): what one
+/// [`Fmm::evaluate`] dispatches for the current target set.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PlanStats {
+    /// Octree levels.
+    pub levels: usize,
+    /// Leaves holding at least one target.
+    pub target_leaves: usize,
+    /// Internal nodes owning virtual-leaf targets (frozen plans).
+    pub virtual_owners: usize,
+    /// M2L (V-list) pairs, summed over levels.
+    pub m2l_pairs: usize,
+    /// Nodes whose downward equivalent is computed (dc2de and/or L2L).
+    pub downward_nodes: usize,
+    /// Check rows receiving P2L (X-list) contributions.
+    pub p2l_rows: usize,
 }
 
 /// Pairs-per-block of the batched M2L dispatch: a block's gathered source
@@ -73,9 +111,18 @@ struct M2lGroup {
 /// Per-level portion of the evaluation plan. Node ids in slot order are
 /// `tree.levels[level]` — not duplicated here.
 struct LevelPlan {
-    /// M2L classes with at least one interaction at this level.
+    /// Every M2L interaction of the level with a source-bearing source,
+    /// bucketed by class: the source-side superset that [`bind_targets`]
+    /// prunes from.
+    all_groups: Vec<M2lGroup>,
+    /// The M2L classes evaluated: `all_groups` restricted to target rows
+    /// whose subtree holds targets, empty classes dropped.
     groups: Vec<M2lGroup>,
-    /// Level-local check rows that receive P2L (X-list) contributions…
+    /// `(level-local row, node id)` of every node with a source-bearing
+    /// X list (source-side superset of the P2L rows).
+    x_all: Vec<(u32, u32)>,
+    /// Level-local check rows that receive P2L (X-list) contributions and
+    /// hold targets below them…
     x_rows: Vec<u32>,
     /// …and the node ids they belong to, aligned with `x_rows`.
     x_nodes: Vec<u32>,
@@ -116,6 +163,11 @@ struct EvalPlan {
     /// Whether the node or any ancestor receives (⇒ its downward
     /// equivalent can be nonzero).
     has_dn: Vec<bool>,
+    /// Whether the node's subtree holds targets: leaf-resident ones, or
+    /// virtual-leaf targets owned at or below it. Only these nodes' downward
+    /// equivalents are ever read (L2T at target leaves and owners, L2L into
+    /// their ancestors), so the downward pass runs only where this is set.
+    has_trg: Vec<bool>,
     /// Leaves with at least one target, in `out_ranges` order.
     leaves: Vec<u32>,
     /// Disjoint `[start, end)` ranges of the Morton-ordered output buffer,
@@ -314,7 +366,7 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
         let trg_pts: Vec<Vec3> = tree.trg_order.iter().map(|&i| trg[i as usize]).collect();
         let sd = src_kernel.src_dim();
         let td = src_kernel.trg_dim();
-        let plan = build_plan(&tree, &ops);
+        let plan = build_plan(&tree, &ops, td);
         let arenas = Mutex::new(Arenas {
             data: vec![0.0; src.len() * sd],
             up: vec![0.0; plan.level_ofs[plan.levels.len()] * plan.nd_eq],
@@ -345,8 +397,10 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
     /// Re-bins a new target set onto the frozen source tree: a target-only
     /// replan. The tree structure, interaction lists, operator tables,
     /// upward/downward arenas, and the whole source side are untouched;
-    /// only the per-leaf output ranges, the virtual-target groups, and the
-    /// output arenas are refreshed.
+    /// only the per-leaf output ranges, the virtual-target groups, the
+    /// downward-pass pruning (which M2L pairs, P2L rows and downward
+    /// equivalents the new targets read), and the output arenas are
+    /// refreshed.
     ///
     /// Targets in pruned (source-free) regions are grouped under their
     /// internal covering node and evaluated through the virtual-leaf path;
@@ -361,21 +415,6 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
             .collect();
         self.n_trg = trg.len();
         let td = self.td;
-
-        // refresh the leaf output ranges (the only target-dependent plan
-        // state; `has_dn`/`receives`/`has_src` are all source-side)
-        self.plan.leaves.clear();
-        self.plan.out_ranges.clear();
-        for li in self.tree.leaves() {
-            let node = &self.tree.nodes[li as usize];
-            if node.ntrg() > 0 {
-                self.plan.leaves.push(li);
-                self.plan.out_ranges.push((
-                    node.trg_range.0 as usize * td,
-                    node.trg_range.1 as usize * td,
-                ));
-            }
-        }
 
         // group virtual targets by owner (ret.virt is sorted by owner)
         self.virt.clear();
@@ -410,6 +449,9 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
         self.outside_idx = ret.outside;
         self.outside_pts = self.outside_idx.iter().map(|&t| trg[t as usize]).collect();
 
+        let owners: Vec<u32> = self.virt.iter().map(|g| g.owner).collect();
+        bind_targets(&mut self.plan, &self.tree, &owners, td);
+
         let mut ar = self.arenas.lock();
         ar.out_sorted.resize(self.tree.trg_order.len() * td, 0.0);
         ar.virt_out.resize(ofs * td, 0.0);
@@ -425,6 +467,26 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
     /// The underlying octree (e.g. for statistics).
     pub fn tree(&self) -> &Octree {
         &self.tree
+    }
+
+    /// Work counts of the plan for the current target set.
+    pub fn plan_stats(&self) -> PlanStats {
+        let plan = &self.plan;
+        PlanStats {
+            levels: plan.levels.len(),
+            target_leaves: plan.leaves.len(),
+            virtual_owners: self.virt.len(),
+            m2l_pairs: plan
+                .levels
+                .iter()
+                .flat_map(|lp| &lp.groups)
+                .map(|g| g.trg_rows.len())
+                .sum(),
+            downward_nodes: (0..self.tree.nodes.len())
+                .filter(|&ni| plan.has_dn[ni] && plan.has_trg[ni])
+                .count(),
+            p2l_rows: plan.levels.iter().map(|lp| lp.x_rows.len()).sum(),
+        }
     }
 
     /// Evaluates the potential of `src_data` (original source ordering,
@@ -557,7 +619,9 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
 
     /// Downward pass, level by level from the root: batched M2L per
     /// translation-offset class (one GEMM per class), P2L from X lists,
-    /// then the dc2de solve fused with L2L from the parent.
+    /// then the dc2de solve fused with L2L from the parent. All of it is
+    /// restricted to target-bearing subtrees (`has_trg`); the rows of
+    /// the other nodes are zeroed and read by no one.
     fn downward(&self, data: &[f64], up: &[f64], dn: &mut [f64], check: &mut [f64]) {
         let plan = &self.plan;
         let nodes = &self.tree.nodes;
@@ -644,7 +708,7 @@ impl<KS: Kernel, KE: Kernel> Fmm<KS, KE> {
             let check = &*check;
             par::chunks_mut(cur, nd_eq, |i, equiv| {
                 let ni = level_nodes[i] as usize;
-                if !plan.has_dn[ni] {
+                if !(plan.has_dn[ni] && plan.has_trg[ni]) {
                     equiv.fill(0.0);
                     return;
                 }
@@ -896,9 +960,10 @@ fn scaled_density<'a>(
 }
 
 /// Builds the geometry-dependent evaluation plan: arena slots, per-level
-/// scale tables, auxiliary surfaces, source/receive flags, M2L offset-class
-/// buckets, and leaf output ranges.
-fn build_plan(tree: &Octree, ops: &FmmOperators) -> EvalPlan {
+/// scale tables, auxiliary surfaces, source/receive flags and M2L
+/// offset-class buckets, then binds the tree's targets ([`bind_targets`]).
+/// `td` is the value dimension per target.
+fn build_plan(tree: &Octree, ops: &FmmOperators, td: usize) -> EvalPlan {
     let nodes = &tree.nodes;
     let n_levels = tree.levels.len();
     let nd_eq = ops.n_surf * ops.sdim;
@@ -981,33 +1046,37 @@ fn build_plan(tree: &Octree, ops: &FmmOperators) -> EvalPlan {
                     buckets[class].push((row as u32, slot[v as usize]));
                 }
             }
-            let mut groups = Vec::new();
+            let mut all_groups = Vec::new();
             for (class, mut pairs) in buckets.into_iter().enumerate() {
                 if pairs.is_empty() {
                     continue;
                 }
                 pairs.sort_unstable();
-                groups.push(M2lGroup {
+                all_groups.push(M2lGroup {
                     class: class as u16,
                     trg_rows: pairs.iter().map(|p| p.0).collect(),
                     src_slots: pairs.iter().map(|p| p.1).collect(),
                 });
             }
 
-            let mut x_rows = Vec::new();
-            let mut x_nodes = Vec::new();
-            for (row, &ni) in level_nodes.iter().enumerate() {
-                let node = &nodes[ni as usize];
-                if node.x_list.iter().any(|&x| nodes[x as usize].nsrc() > 0) {
-                    x_rows.push(row as u32);
-                    x_nodes.push(ni);
-                }
-            }
+            let x_all = level_nodes
+                .iter()
+                .enumerate()
+                .filter(|&(_, &ni)| {
+                    nodes[ni as usize]
+                        .x_list
+                        .iter()
+                        .any(|&x| nodes[x as usize].nsrc() > 0)
+                })
+                .map(|(row, &ni)| (row as u32, ni))
+                .collect();
 
             LevelPlan {
-                groups,
-                x_rows,
-                x_nodes,
+                all_groups,
+                groups: Vec::new(),
+                x_all,
+                x_rows: Vec::new(),
+                x_nodes: Vec::new(),
                 scale_inv: h.powf(-ops.deg),
                 scale_m2l: h.powf(ops.deg),
                 dens_scale,
@@ -1015,34 +1084,7 @@ fn build_plan(tree: &Octree, ops: &FmmOperators) -> EvalPlan {
         })
         .collect();
 
-    // leaves with targets and their (disjoint) Morton-ordered out ranges
-    let td = ops.vdim;
-    let mut leaves = Vec::new();
-    let mut out_ranges = Vec::new();
-    for li in tree.leaves() {
-        let node = &nodes[li as usize];
-        if node.ntrg() > 0 {
-            leaves.push(li);
-            out_ranges.push((
-                node.trg_range.0 as usize * td,
-                node.trg_range.1 as usize * td,
-            ));
-        }
-    }
-
-    if std::env::var_os("FMM_TIMERS").is_some_and(|v| v == "1") {
-        for (l, lp) in levels.iter().enumerate() {
-            let pairs: usize = lp.groups.iter().map(|g| g.trg_rows.len()).sum();
-            eprintln!(
-                "fmm plan: level {l}: {} nodes, {} m2l groups, {} pairs, {} x-rows",
-                tree.levels[l].len(),
-                lp.groups.len(),
-                pairs,
-                lp.x_rows.len()
-            );
-        }
-    }
-    EvalPlan {
+    let mut plan = EvalPlan {
         nd_eq,
         nd_chk,
         slot,
@@ -1052,9 +1094,76 @@ fn build_plan(tree: &Octree, ops: &FmmOperators) -> EvalPlan {
         has_src,
         receives,
         has_dn,
-        leaves,
-        out_ranges,
+        has_trg: vec![false; nodes.len()],
+        leaves: Vec::new(),
+        out_ranges: Vec::new(),
         max_level_len,
+    };
+    bind_targets(&mut plan, tree, &[], td);
+    plan
+}
+
+/// The target-dependent part of the plan, derived from the tree's current
+/// target binning plus the virtual-leaf `owners`: the leaf output ranges,
+/// the `has_trg` subtree flags, and the downward work pruned to them —
+/// the M2L pairs and P2L rows whose target node has `has_trg` set. It is
+/// O(nodes + pairs) integer work; [`build_plan`] and [`Fmm::set_targets`]
+/// both call it, so a replanned plan is the one a fresh build would make.
+fn bind_targets(plan: &mut EvalPlan, tree: &Octree, owners: &[u32], td: usize) {
+    let nodes = &tree.nodes;
+
+    // leaves with targets and their (disjoint) Morton-ordered out ranges
+    plan.leaves.clear();
+    plan.out_ranges.clear();
+    for li in tree.leaves() {
+        let node = &nodes[li as usize];
+        if node.ntrg() > 0 {
+            plan.leaves.push(li);
+            plan.out_ranges.push((
+                node.trg_range.0 as usize * td,
+                node.trg_range.1 as usize * td,
+            ));
+        }
+    }
+
+    // a node's target range spans its subtree; virtual owners and their
+    // ancestors are marked by walking up until an already-marked node
+    for (flag, node) in plan.has_trg.iter_mut().zip(nodes) {
+        *flag = node.ntrg() > 0;
+    }
+    for &owner in owners {
+        let mut cur = owner;
+        while cur != NONE && !plan.has_trg[cur as usize] {
+            plan.has_trg[cur as usize] = true;
+            cur = nodes[cur as usize].parent;
+        }
+    }
+
+    let has_trg = &plan.has_trg;
+    for (lp, level_nodes) in plan.levels.iter_mut().zip(&tree.levels) {
+        let live = |row: u32| has_trg[level_nodes[row as usize] as usize];
+        lp.groups.clear();
+        for g in &lp.all_groups {
+            let (trg_rows, src_slots): (Vec<u32>, Vec<u32>) = g
+                .trg_rows
+                .iter()
+                .zip(&g.src_slots)
+                .filter(|&(&row, _)| live(row))
+                .unzip();
+            if !trg_rows.is_empty() {
+                lp.groups.push(M2lGroup {
+                    class: g.class,
+                    trg_rows,
+                    src_slots,
+                });
+            }
+        }
+        (lp.x_rows, lp.x_nodes) = lp
+            .x_all
+            .iter()
+            .filter(|&&(row, _)| live(row))
+            .copied()
+            .unzip();
     }
 }
 

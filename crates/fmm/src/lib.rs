@@ -19,6 +19,6 @@ pub mod eval;
 pub mod ops;
 pub mod surface;
 
-pub use eval::{fmm_evaluate, Fmm, FmmOptions};
+pub use eval::{fmm_evaluate, Fmm, FmmOptions, PlanStats, LEAF_PER_SURF_POINT};
 pub use ops::{cached_operators, kernel_matrix, ops_cache_stats, FmmOperators, OpsCacheStats};
 pub use surface::{cube_surface, surface_point_count, RAD_INNER, RAD_OUTER};

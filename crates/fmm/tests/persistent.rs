@@ -12,8 +12,12 @@
 //!    concentrated) sources with targets in the pruned interior — the
 //!    exact geometry of a vessel wall with red-cell quadrature targets in
 //!    the lumen.
+//!
+//! and the property that makes the target-side pruning of the downward
+//! pass safe: on one tree, a target's value does not depend on which other
+//! targets are bound, bit for bit.
 
-use fmm::{Fmm, FmmOptions};
+use fmm::{Fmm, FmmOptions, PlanStats};
 use kernels::{direct_eval, LaplaceSL, StokesDL, StokesEquiv};
 use linalg::Vec3;
 use rand::prelude::*;
@@ -197,4 +201,133 @@ fn out_of_cube_targets_are_exact() {
             exact[i]
         );
     }
+}
+
+/// Targets spread through the whole root cube of a [`tube_surface`]
+/// cloud: wall, lumen and the source-free corners around the tube.
+fn cube_targets(rng: &mut StdRng, n: usize, len: f64) -> Vec<Vec3> {
+    let h = 0.5 * len;
+    (0..n)
+        .map(|_| {
+            Vec3::new(
+                rng.random_range(-h..h),
+                rng.random_range(-h..h),
+                rng.random_range(-h..h),
+            )
+        })
+        .collect()
+}
+
+/// A target set confined to one end of the tube, so most of the tree's
+/// subtrees hold no target and the downward pass is pruned hard.
+fn end_targets(rng: &mut StdRng, n: usize) -> Vec<Vec3> {
+    lumen_targets(rng, n, 1.0, 4.0)
+        .into_iter()
+        .map(|p| Vec3::new(p.x, p.y, -1.5 + 0.15 * p.z))
+        .collect()
+}
+
+/// Pruning the downward pass to target-bearing subtrees is exact: on the
+/// same frozen tree, the values at a target subset T are bit-identical
+/// whether T is bound alone or together with targets U spread through the
+/// whole cube (which switch the pruned M2L pairs, P2L rows and downward
+/// nodes back on), and a replan T → T∪U → T returns the first result.
+#[test]
+fn pruned_downward_pass_is_exact() {
+    let mut rng = StdRng::seed_from_u64(36);
+    let src = tube_surface(&mut rng, 2000, 1.0, 4.0);
+    let t = end_targets(&mut rng, 200);
+    let u = cube_targets(&mut rng, 600, 4.0);
+    let tu: Vec<Vec3> = t.iter().chain(&u).copied().collect();
+    let k = LaplaceSL;
+    let data: Vec<f64> = (0..src.len())
+        .map(|_| rng.random_range(-1.0..1.0))
+        .collect();
+
+    let mut f = Fmm::frozen(k, k, &src, &t, OPTS);
+    let first = f.evaluate(&data);
+    let pruned = f.plan_stats();
+    let both = f.evaluate_at(&data, &tu);
+    let full = f.plan_stats();
+    assert!(
+        pruned.m2l_pairs < full.m2l_pairs && pruned.downward_nodes < full.downward_nodes,
+        "T must prune work that T∪U needs: {pruned:?} vs {full:?}"
+    );
+    assert_eq!(first, both[..t.len()], "T alone vs T within T∪U");
+    let again = f.evaluate_at(&data, &t);
+    assert_eq!(first, again, "replan T → T∪U → T changed the result");
+    assert_eq!(f.plan_stats(), pruned);
+
+    // the same on the boundary solver's kernel pair, whose 3-wide values
+    // put the M2L GEMM on its full-tile path
+    let (sk, ek) = (StokesDL, StokesEquiv { mu: 1.0 });
+    let mut dl = Vec::with_capacity(src.len() * 6);
+    for p in &src {
+        for _ in 0..3 {
+            dl.push(rng.random_range(-1.0..1.0));
+        }
+        let n = Vec3::new(-p.x, -p.y, 0.0).normalized();
+        dl.extend_from_slice(&[n.x, n.y, n.z]);
+    }
+    let mut g = Fmm::frozen(sk, ek, &src, &t, OPTS);
+    let first = g.evaluate(&dl);
+    let both = g.evaluate_at(&dl, &tu);
+    assert_eq!(
+        first,
+        both[..3 * t.len()],
+        "Stokes: T alone vs T within T∪U"
+    );
+}
+
+/// `plan_stats` counts what an evaluate dispatches: a frozen plan with no
+/// targets does no downward work at all, while its source side is intact.
+#[test]
+fn plan_stats_count_only_target_bearing_work() {
+    let mut rng = StdRng::seed_from_u64(37);
+    let src = tube_surface(&mut rng, 1500, 1.0, 4.0);
+    let k = LaplaceSL;
+    let mut f = Fmm::frozen(k, k, &src, &[], OPTS);
+    let empty = f.plan_stats();
+    assert!(empty.levels > 2, "tree too shallow to test: {empty:?}");
+    assert_eq!(
+        empty,
+        PlanStats {
+            levels: empty.levels,
+            ..PlanStats::default()
+        }
+    );
+    assert!(f.evaluate(&vec![1.0; src.len()]).is_empty());
+
+    let t = end_targets(&mut rng, 150);
+    let tu: Vec<Vec3> = t
+        .iter()
+        .chain(&cube_targets(&mut rng, 400, 4.0))
+        .copied()
+        .collect();
+    f.set_targets(&t);
+    let st = f.plan_stats();
+    f.set_targets(&tu);
+    let stu = f.plan_stats();
+    assert!(st.m2l_pairs > 0, "{st:?}");
+    assert!(st.m2l_pairs < stu.m2l_pairs, "{st:?} vs {stu:?}");
+    assert!(st.target_leaves + st.virtual_owners > 0, "{st:?}");
+    assert_eq!(st.levels, stu.levels);
+}
+
+/// The fitted leaf capacity follows the order, and the default is order 6's.
+#[test]
+fn leaf_capacity_follows_the_order() {
+    for p in [4usize, 6, 8] {
+        let o = FmmOptions::for_order(p);
+        assert_eq!(o.order, p);
+        assert_eq!(
+            o.leaf_capacity,
+            fmm::LEAF_PER_SURF_POINT * fmm::surface_point_count(p)
+        );
+    }
+    let d = FmmOptions::default();
+    assert_eq!(
+        (d.order, d.leaf_capacity),
+        (6, FmmOptions::for_order(6).leaf_capacity)
+    );
 }

@@ -244,10 +244,15 @@ impl IndexMut<(usize, usize)> for Mat {
 ///
 /// Register-tiled microkernel: `MR × NR` accumulator blocks (4 rows × 24
 /// columns = 12 SIMD vectors at AVX-512 width) held across the full `k`
-/// loop, with edge cleanup in plain axpy form. This is the workhorse
-/// behind [`Mat::matmul`], [`Mat::matmul_acc`], and the FMM's batched M2L
-/// dispatch, where `A` is a block of gathered equivalent densities and `B`
-/// a translation operator.
+/// loop. This is the workhorse behind [`Mat::matmul`], [`Mat::matmul_acc`],
+/// and the FMM's batched M2L dispatch, where `A` is a block of gathered
+/// equivalent densities and `B` a translation operator.
+///
+/// Every entry gets the same arithmetic, whichever tile it falls in:
+/// `acc = Σ_k a_ik·b_kj` summed from zero in `k` order, then
+/// `c_ij += alpha·acc`. A row's result is therefore bit-identical however
+/// many other rows share the call, which lets the M2L drop rows from a
+/// batch without perturbing the rows it keeps.
 ///
 /// # Panics
 /// Panics if a buffer is smaller than its `m`/`n`/`k` shape implies.
@@ -260,34 +265,19 @@ pub fn gemm_acc(m: usize, n: usize, k: usize, alpha: f64, a: &[f64], b: &[f64], 
     }
     const MR: usize = 4;
     let m_main = m - m % MR;
-    // j-outer ordering: one k×NR strip of B stays cache-resident while
-    // every row block of A streams against it. 24-wide tiles first, then
-    // 8-wide tiles for the remainder, then a scalar-ish edge.
-    let mut j0 = 0;
-    while j0 + 24 <= n {
-        gemm_tile::<MR, 24>(m_main, j0, n, k, alpha, a, b, c);
-        j0 += 24;
-    }
-    while j0 + 8 <= n {
-        gemm_tile::<MR, 8>(m_main, j0, n, k, alpha, a, b, c);
-        j0 += 8;
-    }
-    // right edge (n % 8 columns) for the main row band
-    if j0 < n {
-        gemm_edge(0..m_main, j0, n, k, alpha, a, b, c);
-    }
-    // bottom edge (m % MR rows), full width
-    if m_main < m {
-        gemm_edge(m_main..m, 0, n, k, alpha, a, b, c);
-    }
+    gemm_rows::<MR>(0..m_main, n, k, alpha, a, b, c);
+    // bottom edge (m % MR rows): one-row tiles, same arithmetic
+    gemm_rows::<1>(m_main..m, n, k, alpha, a, b, c);
 }
 
-/// One `MR × W` register-tiled column strip of [`gemm_acc`].
-#[allow(clippy::too_many_arguments)] // BLAS-shaped signature
+/// One band of [`gemm_acc`] rows, `MR` at a time (`rows.len()` must be a
+/// multiple of `MR`). j-outer ordering: one k×W strip of B stays
+/// cache-resident while every row block of A streams against it. 24-wide
+/// tiles first, then 8-wide tiles, then one narrower tile for the last
+/// `n % 8` columns, so A streams once per strip even when `n < 8`.
 #[inline]
-fn gemm_tile<const MR: usize, const W: usize>(
-    m_main: usize,
-    j0: usize,
+fn gemm_rows<const MR: usize>(
+    rows: std::ops::Range<usize>,
     n: usize,
     k: usize,
     alpha: f64,
@@ -295,50 +285,55 @@ fn gemm_tile<const MR: usize, const W: usize>(
     b: &[f64],
     c: &mut [f64],
 ) {
-    for i0 in (0..m_main).step_by(MR) {
+    if rows.is_empty() {
+        return;
+    }
+    let mut j0 = 0;
+    while j0 + 24 <= n {
+        gemm_tile::<MR, 24>(rows.clone(), j0, 24, n, k, alpha, a, b, c);
+        j0 += 24;
+    }
+    while j0 + 8 <= n {
+        gemm_tile::<MR, 8>(rows.clone(), j0, 8, n, k, alpha, a, b, c);
+        j0 += 8;
+    }
+    if j0 < n {
+        gemm_tile::<MR, 8>(rows, j0, n - j0, n, k, alpha, a, b, c);
+    }
+}
+
+/// One `MR × w` register-tiled column strip of [`gemm_acc`], `w ≤ W`
+/// (`w < W` only for the right-edge strip). Always inlined so a full
+/// tile's `w = W` is a compile-time constant.
+#[allow(clippy::too_many_arguments)] // BLAS-shaped signature
+#[inline(always)]
+fn gemm_tile<const MR: usize, const W: usize>(
+    rows: std::ops::Range<usize>,
+    j0: usize,
+    w: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+) {
+    for i0 in rows.step_by(MR) {
         // register-resident accumulator block, held across the k loop
         let mut acc = [[0.0f64; W]; MR];
         for kk in 0..k {
-            let brow = &b[kk * n + j0..kk * n + j0 + W];
+            let brow = &b[kk * n + j0..kk * n + j0 + w];
             for (i, acci) in acc.iter_mut().enumerate() {
                 let aik = a[(i0 + i) * k + kk];
-                for (j, accij) in acci.iter_mut().enumerate() {
-                    *accij += aik * brow[j];
+                for (accij, bkj) in acci[..w].iter_mut().zip(brow) {
+                    *accij += aik * bkj;
                 }
             }
         }
         for (i, acci) in acc.iter().enumerate() {
-            let crow = &mut c[(i0 + i) * n + j0..(i0 + i) * n + j0 + W];
+            let crow = &mut c[(i0 + i) * n + j0..(i0 + i) * n + j0 + w];
             for (cij, accij) in crow.iter_mut().zip(acci) {
                 *cij += alpha * accij;
-            }
-        }
-    }
-}
-
-/// Cleanup path of [`gemm_acc`]: axpy form over an arbitrary row range and
-/// column window.
-#[allow(clippy::too_many_arguments)] // BLAS-shaped signature
-fn gemm_edge(
-    rows: std::ops::Range<usize>,
-    j0: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-) {
-    for i in rows {
-        for kk in 0..k {
-            let aik = alpha * a[i * k + kk];
-            if aik == 0.0 {
-                continue;
-            }
-            let brow = &b[kk * n + j0..kk * n + n];
-            let crow = &mut c[i * n + j0..i * n + n];
-            for (cij, bkj) in crow.iter_mut().zip(brow) {
-                *cij += aik * bkj;
             }
         }
     }
@@ -457,6 +452,36 @@ mod tests {
                     acc += a[(i, l)] * b[(l, j)];
                 }
                 assert!((c[i * n + j] - acc).abs() < 1e-12);
+            }
+        }
+    }
+
+    /// Each row of a `gemm_acc` must come out bit-identical to the same
+    /// row computed alone, wherever it sits relative to the 4-row tiles
+    /// (m = 4k + r for every r) and the 24/8-wide and right-edge strips.
+    #[test]
+    fn gemm_acc_rows_are_independent_of_their_batch() {
+        let (n, k, alpha) = (37, 19, 0.731);
+        for m in [1usize, 4, 5, 6, 7, 8, 13] {
+            let a = Mat::from_fn(m, k, |i, j| ((i * 31 + j * 17) % 23) as f64 * 0.137 - 1.1);
+            let b = Mat::from_fn(k, n, |i, j| ((i * 13 + j * 7) % 19) as f64 * 0.071 - 0.6);
+            let c0 = Mat::from_fn(m, n, |i, j| (i as f64 - j as f64) * 0.01);
+            let mut c = c0.data().to_vec();
+            gemm_acc(m, n, k, alpha, a.data(), b.data(), &mut c);
+            for i in 0..m {
+                let mut row = c0.data()[i * n..(i + 1) * n].to_vec();
+                gemm_acc(
+                    1,
+                    n,
+                    k,
+                    alpha,
+                    &a.data()[i * k..(i + 1) * k],
+                    b.data(),
+                    &mut row,
+                );
+                let got: Vec<u64> = c[i * n..(i + 1) * n].iter().map(|v| v.to_bits()).collect();
+                let alone: Vec<u64> = row.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, alone, "m = {m}, row {i}");
             }
         }
     }

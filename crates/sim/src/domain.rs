@@ -423,10 +423,7 @@ mod tests {
         let opts = BieOptions {
             backend: bie::MatvecBackend::Fmm,
             qf: 10,
-            fmm: bie::FmmOptions {
-                order: 4,
-                ..Default::default()
-            },
+            fmm: bie::FmmOptions::for_order(4),
             gmres: linalg::GmresOptions {
                 tol: 2e-3,
                 max_iters: 30,
